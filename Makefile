@@ -3,7 +3,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test test-chaos docs-check lint bench-smoke bench-columnar bench demo
+.PHONY: test test-chaos docs-check lint bench-smoke bench-check bench-columnar bench demo
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -53,6 +53,19 @@ bench-smoke:
 		benchmarks/bench_overload.py \
 		benchmarks/bench_cluster.py \
 		benchmarks/bench_failover.py -q --benchmark-disable
+
+## benchmark API check: one short untraced run of each areabench
+## workload (BENCHMARK.json); fails unless the run's last line reports
+## "correct": true and "failed": 0, so a change that deletes API the
+## benchmark calls (from_arrays, save_database, serve --load, the write
+## frames, ...) fails here instead of in the benchmark run
+bench-check:
+	for workload in paper_area served_writes; do \
+		python3 areabench/run.py --workload $$workload --seed 1 \
+			--seconds 1 --trace 0 | tail -n 1 | python3 -c \
+			'import json, sys; r = json.loads(sys.stdin.read()); print(sys.argv[1], r); sys.exit(not (r["correct"] is True and r["failed"] == 0))' \
+			$$workload || exit 1; \
+	done
 
 ## columnar acceptance bench alone: vectorized vs scalar hot paths on
 ## the refinement-heavy trace (>= 2x asserted), ids byte-identical

@@ -14,6 +14,7 @@ import pytest
 from repro.delaunay.backends import PureDelaunayBackend, ScipyDelaunayBackend
 from repro.core.database import SpatialDatabase
 from repro.geometry.random_shapes import random_query_polygon
+from repro.query.spec import AreaQuery
 from repro.workloads.generators import uniform_points
 
 BUILD_SIZES = (1_000, 5_000)
@@ -47,6 +48,6 @@ def test_backends_identical_query_results():
     for _ in range(10):
         area = random_query_polygon(0.05, rng=rng)
         assert (
-            pure_db.area_query(area, "voronoi").ids
-            == scipy_db.area_query(area, "voronoi").ids
+            pure_db.query(AreaQuery(area, method="voronoi")).record.ids
+            == scipy_db.query(AreaQuery(area, method="voronoi")).record.ids
         )

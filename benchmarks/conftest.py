@@ -27,6 +27,7 @@ import pytest
 
 from repro.core.database import SpatialDatabase
 from repro.geometry.polygon import Polygon
+from repro.query.spec import AreaQuery
 from repro.workloads.generators import uniform_points
 from repro.workloads.queries import QueryWorkload
 
@@ -129,7 +130,7 @@ def get_query_areas(query_size: float, count: int = N_QUERY_AREAS) -> List[Polyg
 
 def run_batch(db: SpatialDatabase, areas: List[Polygon], method: str):
     """Run one batch of area queries; returns the list of QueryResults."""
-    return [db.area_query(area, method=method) for area in areas]
+    return [db.query(AreaQuery(area, method=method)).record for area in areas]
 
 
 def summarize(results) -> Dict[str, float]:

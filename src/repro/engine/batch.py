@@ -85,9 +85,6 @@ from repro.geometry.kernels import rect_contains_many as _rect_mask
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.database import SpatialDatabase
 
-#: Methods accepted by :meth:`BatchQueryEngine.batch_area_query`.
-BATCH_METHODS = ("auto", "traditional", "voronoi")
-
 #: Union-MBR slack for window grouping: a window joins a group only while
 #: the union's area stays at or below this factor times the *largest*
 #: member window's area.  Groups therefore only form around
@@ -204,11 +201,10 @@ class EngineTotals:
 class BatchResult(Sequence[QueryResult]):
     """Per-query records (submission order) plus batch-level accounting.
 
-    Behaves as a sequence of :class:`~repro.core.stats.QueryResult`, so
-    existing code written against ``[db.area_query(a) for a in areas]``
-    works unchanged.  (:meth:`SpatialDatabase.query_batch
+    Behaves as a sequence of :class:`~repro.core.stats.QueryResult`;
+    :meth:`SpatialDatabase.query_batch
     <repro.core.database.SpatialDatabase.query_batch>` wraps these
-    records into lazy handles instead.)
+    records into lazy handles.
     """
 
     results: List[QueryResult]
@@ -343,8 +339,6 @@ class BatchQueryEngine:
         duplicate submissions share one record object and cached entries
         are stored by reference, so consumers must copy before mutating
         (the lazy result surfaces do — ``.ids()`` returns a fresh list).
-        The legacy :meth:`batch_area_query` shim isolates its records
-        precisely because pre-spec callers predate that convention.
         """
         specs = list(specs)
         db = self._db
@@ -485,8 +479,7 @@ class BatchQueryEngine:
             for j in aliases[i]:
                 # Duplicates share the owner's record by reference:
                 # handed-out records are read-only by engine convention
-                # (every consumer surface copies on materialisation; the
-                # legacy shim isolates its callers).
+                # (every consumer surface copies on materialisation).
                 results[j] = record
         if use_cache and self.cache.capacity > 0:
             for j, key in enumerate(job_cache_keys):
@@ -574,53 +567,6 @@ class BatchQueryEngine:
             self._db, spec, QueryResult(ids=ids, stats=merged)
         )
 
-    def batch_area_query(
-        self,
-        regions: Sequence[QueryRegion],
-        method: str = "auto",
-        *,
-        use_cache: bool = True,
-    ) -> BatchResult:
-        """Answer many area queries at once (region-sequence convenience).
-
-        The legacy surface of :meth:`run_specs`: wraps every region in an
-        :class:`~repro.query.spec.AreaQuery` with the given ``method``
-        (``"traditional"``, ``"voronoi"``, or ``"auto"``).  Result id
-        lists are identical to running each region alone.
-        """
-        if method not in BATCH_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; choose from {BATCH_METHODS}"
-            )
-        regions = list(regions)
-        if not len(self._db):
-            raise EmptyDatabaseError("batch area query on an empty database")
-        for region in regions:
-            if region.area <= 0.0:
-                raise InvalidQueryAreaError("query area has zero area")
-        batch = self.run_specs(
-            [AreaQuery(region, method=method) for region in regions],
-            use_cache=use_cache,
-        )
-        # This legacy surface hands out raw records that pre-spec callers
-        # may reasonably mutate (sort, clear, extend), while run_specs
-        # shares finalized records with the result cache and between
-        # duplicate submissions — so isolate them here, at the one
-        # boundary where the read-only convention cannot be assumed.
-        return BatchResult(
-            results=[
-                QueryResult(ids=list(r.ids), stats=r.stats.copy())
-                for r in batch.results
-            ],
-            stats=batch.stats,
-        )
-
-    def explain(self, spec_or_region, *, execute: bool = False):
-        """Forward to the planner's explain (spec or bare region)."""
-        if isinstance(spec_or_region, Query):
-            return self.planner.explain_spec(spec_or_region, execute=execute)
-        return self.planner.explain(spec_or_region, execute=execute)
-
     # -- traditional/index: shared window frontier --------------------------
 
     def _run_window_frontier(
@@ -682,103 +628,56 @@ class BatchQueryEngine:
         :class:`~repro.core.store.PointStore` columns by row id, and
         every member answered by array masks — window members' masks ARE
         their answers, area members additionally refine the masked
-        candidates with one ``contains_many`` kernel call (PR 4
-        vectorised only the pure-window masks; the refine loop was the
-        remaining per-candidate Python).  The scalar loop below it is
-        kept solely as the equivalence oracle
-        (``SpatialDatabase(vectorized=False)``) and for regions without
-        a vectorized kernel.
+        candidates with one ``contains_many`` kernel call.  A scalar
+        database (``vectorized=False``, the equivalence oracle) or a
+        member region without ``contains_many`` runs every member alone
+        through :func:`~repro.query.executor.execute_spec` instead,
+        which returns the identical ids.
         """
         db = self._db
-        if len(group) == 1:
-            i = group[0]
-            # execute_spec finalizes (applies predicate/limit) itself.
-            results[i] = execute_spec(db, specs[i], method=choices[i])
+        kernels = {
+            i: getattr(specs[i].region, "contains_many", None)
+            for i in group
+            if isinstance(specs[i], AreaQuery)
+        }
+        if len(group) == 1 or not db.vectorized or None in kernels.values():
+            for i in group:
+                # execute_spec finalizes (applies predicate/limit) itself.
+                results[i] = execute_spec(db, specs[i], method=choices[i])
             return
         stats.shared_window_groups += 1
         stats.shared_window_queries += len(group)
         index = db.index
-        vectorized = db.vectorized
-        kernels = {}
-        if vectorized:
-            for i in group:
-                spec = specs[i]
-                if isinstance(spec, AreaQuery):
-                    kernel = getattr(spec.region, "contains_many", None)
-                    if kernel is None:  # custom region: scalar fallback
-                        vectorized = False
-                        break
-                    kernels[i] = kernel
         nodes_before = index.stats.node_accesses
         group_started = time.perf_counter()
-        if vectorized:
-            id_array = index.window_ids_array(union)
-            store = db.store
-            xs = store.xs[id_array]
-            ys = store.ys[id_array]
-            rows = None
-        else:
-            entries = index.window_query(union)
-            rows = [(p.x, p.y, p, item_id) for p, item_id in entries]
+        id_array = index.window_ids_array(union)
+        xs = db.store.xs[id_array]
+        ys = db.store.ys[id_array]
         shared_nodes = index.stats.node_accesses - nodes_before
         shared_ms = (time.perf_counter() - group_started) * 1000.0
         for position, i in enumerate(group):
             spec = specs[i]
-            if isinstance(spec, AreaQuery):
-                mbr = spec.region.mbr
-                refine = spec.region.contains_point
-                member_stats = QueryStats(method="traditional")
-            else:  # WindowQuery on the index: MBR filter is the query
-                mbr = spec.rect
-                refine = None
-                member_stats = QueryStats(method="index")
-            min_x, min_y = mbr.min_x, mbr.min_y
-            max_x, max_y = mbr.max_x, mbr.max_y
             member_started = time.perf_counter()
-            if vectorized:
-                mask = _rect_mask(mbr, xs, ys)
-                if refine is None:
-                    member_ids = _np.sort(id_array[mask])
-                    member_stats.candidates = int(member_ids.shape[0])
-                    if spec.limit is not None and spec.predicate is None:
-                        # Same ascending prefix finalize_record would
-                        # keep — truncate before materialising ints.
-                        member_ids = member_ids[: spec.limit]
-                    ids = member_ids.tolist()
-                else:
-                    member_ids = id_array[mask]
-                    inside = kernels[i](xs[mask], ys[mask])
-                    ids = _np.sort(member_ids[inside]).tolist()
-                    candidates = int(member_ids.shape[0])
-                    member_stats.candidates = candidates
-                    member_stats.validations = candidates
-                    member_stats.redundant_validations = (
-                        candidates - len(ids)
-                    )
-            elif refine is None:
-                ids = [
-                    item_id
-                    for x, y, _, item_id in rows
-                    if min_x <= x <= max_x and min_y <= y <= max_y
-                ]
-                ids.sort()
-                member_stats.candidates = len(ids)
-            else:
-                ids = []
-                append = ids.append
-                candidates = 0
-                redundant = 0
-                for x, y, point, item_id in rows:
-                    if min_x <= x <= max_x and min_y <= y <= max_y:
-                        candidates += 1
-                        if refine(point):
-                            append(item_id)
-                        else:
-                            redundant += 1
-                ids.sort()
+            if isinstance(spec, AreaQuery):
+                member_stats = QueryStats(method="traditional")
+                mask = _rect_mask(spec.region.mbr, xs, ys)
+                member_ids = id_array[mask]
+                inside = kernels[i](xs[mask], ys[mask])
+                ids = _np.sort(member_ids[inside]).tolist()
+                candidates = int(member_ids.shape[0])
                 member_stats.candidates = candidates
                 member_stats.validations = candidates
-                member_stats.redundant_validations = redundant
+                member_stats.redundant_validations = candidates - len(ids)
+            else:  # WindowQuery on the index: MBR filter is the query
+                member_stats = QueryStats(method="index")
+                mask = _rect_mask(spec.rect, xs, ys)
+                member_ids = _np.sort(id_array[mask])
+                member_stats.candidates = int(member_ids.shape[0])
+                if spec.limit is not None and spec.predicate is None:
+                    # Same ascending prefix finalize_record would
+                    # keep — truncate before materialising ints.
+                    member_ids = member_ids[: spec.limit]
+                ids = member_ids.tolist()
             member_stats.time_ms = (
                 time.perf_counter() - member_started
             ) * 1000.0

@@ -30,10 +30,9 @@ Correctness guarantees:
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Optional
 
 from repro.core.stats import QueryResult
 
@@ -43,33 +42,6 @@ from repro.core.stats import QueryResult
 #: results (e.g. 30 %-of-space queries over paper-scale databases) should
 #: size ``BatchQueryEngine(cache_capacity=...)`` down accordingly.
 DEFAULT_CAPACITY = 256
-
-
-def region_fingerprint(region) -> Optional[Tuple]:
-    """A hashable, exact identity for a query region's geometry.
-
-    .. deprecated:: 1.1
-        The engine now caches by the spec objects themselves
-        (:meth:`repro.query.spec.Query.cache_key`); nothing in the
-        library calls this any more.  Kept one release as a shim for
-        external callers: polygons fingerprint as their vertex tuple,
-        circles as centre and radius, anything else as ``None``
-        (uncacheable), exactly as in 1.0.
-    """
-    warnings.warn(
-        "region_fingerprint is deprecated; cache keys are now the spec "
-        "objects themselves (Query.cache_key), see docs/QUERY_API.md",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    vertices = getattr(region, "vertices", None)
-    if vertices is not None:
-        return ("polygon", tuple((p.x, p.y) for p in vertices))
-    center = getattr(region, "center", None)
-    radius = getattr(region, "radius", None)
-    if center is not None and radius is not None:
-        return ("circle", center.x, center.y, radius)
-    return None
 
 
 @dataclass
@@ -102,7 +74,7 @@ class _Entry:
 
 @dataclass
 class ResultCache:
-    """A bounded LRU mapping region fingerprints to query results.
+    """A bounded LRU mapping spec cache keys to query results.
 
     Entries are stamped with the database version at store time;
     :meth:`get` treats a stamp mismatch as a miss (and drops the entry),

@@ -3,7 +3,7 @@
 Algorithm 1 and the traditional baseline never rely on the query area
 being a polygon; they need exactly the operations listed in
 :class:`QueryRegion`.  Any shape implementing them can be passed to
-:meth:`repro.core.database.SpatialDatabase.area_query` —
+an :class:`~repro.query.spec.AreaQuery` —
 :class:`~repro.geometry.polygon.Polygon` and
 :class:`~repro.geometry.circle.Circle` both conform.
 """

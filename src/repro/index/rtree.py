@@ -31,6 +31,12 @@ from repro.index.base import Entry, SpatialIndex
 
 _DEFAULT_MAX_ENTRIES = 16
 
+#: A batch bulk-loaded into a non-empty tree re-packs the whole tree
+#: once it holds at least ``1 / _REPACK_RATIO`` as many entries as the
+#: tree: one dynamic insertion costs roughly 60 packed entries here, so
+#: below that size inserting is cheaper, above it re-packing is.
+_REPACK_RATIO = 32
+
 
 class _Node:
     """One R-tree node: a leaf holds ``Entry`` tuples, an internal node holds
@@ -151,17 +157,22 @@ class RTree(SpatialIndex):
     def bulk_load(self, entries) -> None:
         """STR (sort-tile-recursive) packing.
 
-        Replaces the current contents only if the tree is empty, otherwise
-        falls back to repeated insertion (mixing packed and dynamic content
-        would violate balance guarantees we rely on in tests).
+        Into a non-empty tree, a batch small next to the tree (see
+        :data:`_REPACK_RATIO`) is inserted one entry at a time; a larger
+        one is packed together with the current entries into a new tree
+        (a chunked bulk load, such as a cluster worker receiving one
+        ``extend`` frame per chunk, would otherwise pay a dynamic
+        insertion per point).
         """
         entries = list(entries)
-        if self._count > 0:
-            for point, item_id in entries:
-                self.insert(point, item_id)
-            return
         if not entries:
             return
+        if self._count > 0:
+            if len(entries) * _REPACK_RATIO < self._count:
+                for point, item_id in entries:
+                    self.insert(point, item_id)
+                return
+            entries = list(self.items()) + entries
         self._root = self._str_pack(entries)
         self._root.parent = None
         self._count = len(entries)

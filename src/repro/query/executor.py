@@ -3,9 +3,8 @@
 :func:`execute_spec` turns a declarative :class:`~repro.query.spec.Query`
 into an eager :class:`~repro.core.stats.QueryResult` record by
 dispatching on the spec's kind and (planner-resolved) method.  The lazy
-:class:`~repro.query.result.QueryResult`, the batch engine, the
-deprecation shims on :class:`~repro.core.database.SpatialDatabase`, and
-the planner's ``EXPLAIN ANALYZE`` all call into this module, so results
+:class:`~repro.query.result.QueryResult`, the batch engine and the
+planner's ``EXPLAIN ANALYZE`` all call into this module, so results
 are identical no matter which surface issued the query.
 
 Composite specs (:class:`~repro.query.spec.UnionQuery` /
@@ -186,7 +185,7 @@ def _execute_area(
     method: str,
     seed_id: Optional[int],
 ) -> QueryResult:
-    """Run an area query with ``method`` (validation as in the legacy API)."""
+    """Run an area query with ``method`` (non-empty database, positive area)."""
     if not len(database):
         raise EmptyDatabaseError("area query on an empty database")
     if spec.region.area <= 0.0:

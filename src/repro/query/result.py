@@ -98,7 +98,7 @@ class QueryResult:
         """The result row ids (a fresh list; executes if needed).
 
         Ascending for region kinds (area/window), nearest-first for point
-        kinds (knn/nearest) — the same orders the legacy methods used.
+        kinds (knn/nearest).
         """
         return list(self.record.ids)
 

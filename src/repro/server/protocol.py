@@ -153,8 +153,10 @@ MAX_CHUNK_SIZE = 65_536
 
 #: Hard cap on coordinate pairs in one ``extend`` frame: keeps both the
 #: encoded ack and the synchronous apply bounded (larger loads batch
-#: client-side across frames).
-MAX_WRITE_POINTS = 65_536
+#: client-side across frames).  It must fit under :data:`MAX_LINE_BYTES`:
+#: a pair encodes to at most 52 bytes (two 24-character float reprs such
+#: as ``-2.2250738585072014e-308``), so a full frame stays near 852 KB.
+MAX_WRITE_POINTS = 16_384
 
 #: Frame type tags, by direction.
 CLIENT_FRAME_TYPES = (

@@ -4,7 +4,9 @@ The router runs over in-process :class:`LocalShard` backends (fast, no
 subprocesses — the spawned-worker path is covered by
 ``test_launcher.py``) and is exercised through the unmodified
 :class:`QueryClient`, plus raw sockets for the frame-level edges the
-client never produces.
+client never produces.  One test puts the wire on the worker side
+instead: a coordinator over a :class:`RemoteShard` bulk-loads more rows
+than one ``extend`` frame may carry.
 """
 
 import json
@@ -12,7 +14,7 @@ import socket
 
 import pytest
 
-from repro.cluster import ClusterCoordinator, LocalShard
+from repro.cluster import ClusterCoordinator, LocalShard, RemoteShard
 from repro.cluster.router import RouterThread
 from repro.core.database import SpatialDatabase
 from repro.geometry.circle import Circle
@@ -26,6 +28,7 @@ from repro.query.spec import (
     WindowQuery,
 )
 from repro.server import QueryClient, RemoteError, ServerThread
+from repro.server.protocol import MAX_WRITE_POINTS
 from repro.workloads import make_query_areas, uniform_points
 
 N_POINTS = 500
@@ -226,3 +229,22 @@ class TestEphemeralPorts:
             assert first.port != second.port
             with QueryClient(first.host, first.port) as probe:
                 assert probe.hello["points"] == 50
+
+
+class TestRemoteBulkLoad:
+    def test_load_larger_than_one_extend_frame_matches_oracle(self):
+        """``RemoteShard.extend`` splits at MAX_WRITE_POINTS; every frame
+        must fit the line cap, so all rows land on the worker."""
+        count = 2 * MAX_WRITE_POINTS + 1
+        loaded = [(p.x, p.y) for p in uniform_points(count, seed=41)]
+        oracle = SpatialDatabase.from_points([Point(x, y) for x, y in loaded])
+        with ServerThread(SpatialDatabase()) as worker:
+            coordinator = ClusterCoordinator(
+                [RemoteShard(worker.host, worker.port)]
+            )
+            try:
+                assert coordinator.bulk_load(loaded) == list(range(count))
+                spec = WindowQuery((0.2, 0.3, 0.45, 0.5), method="index")
+                assert coordinator.query(spec) == oracle.query(spec).ids()
+            finally:
+                coordinator.close()

@@ -7,6 +7,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
 from repro.core.database import SpatialDatabase
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
+from repro.query.spec import AreaQuery, KnnQuery, NearestQuery, WindowQuery
 from repro.workloads.generators import uniform_points
 
 
@@ -43,17 +44,17 @@ class TestConstruction:
 
 class TestQueries:
     def test_area_query_methods_agree(self, db_300, concave_polygon):
-        voronoi = db_300.area_query(concave_polygon, method="voronoi")
-        traditional = db_300.area_query(concave_polygon, method="traditional")
+        voronoi = db_300.query(AreaQuery(concave_polygon, method="voronoi")).record
+        traditional = db_300.query(AreaQuery(concave_polygon, method="traditional")).record
         assert voronoi.ids == traditional.ids
 
     def test_default_method_is_voronoi(self, db_300, concave_polygon):
-        result = db_300.area_query(concave_polygon)
+        result = db_300.query(AreaQuery(concave_polygon, method="voronoi")).record
         assert result.stats.method == "voronoi"
 
     def test_unknown_method(self, db_300, concave_polygon):
         with pytest.raises(ValueError, match="unknown method"):
-            db_300.area_query(concave_polygon, method="magic")
+            db_300.query(AreaQuery(concave_polygon, method="magic")).record
 
     def test_window_query(self, db_300):
         window = Rect(0.25, 0.25, 0.5, 0.5)
@@ -62,11 +63,11 @@ class TestQueries:
             for i in range(len(db_300))
             if window.contains_point(db_300.point(i))
         )
-        assert db_300.window_query(window) == expected
+        assert db_300.query(WindowQuery(window, method="index")).ids() == expected
 
     def test_nearest_neighbor(self, db_300):
         q = Point(0.4, 0.6)
-        row = db_300.nearest_neighbor(q)
+        row = next(iter(db_300.query(NearestQuery(q))), None)
         best = min(
             range(len(db_300)),
             key=lambda i: db_300.point(i).squared_distance_to(q),
@@ -77,7 +78,7 @@ class TestQueries:
 
     def test_k_nearest_neighbors(self, db_300):
         q = Point(0.1, 0.9)
-        rows = db_300.k_nearest_neighbors(q, 5)
+        rows = db_300.query(KnnQuery(q, 5, method="index")).ids()
         assert len(rows) == 5
         distances = [db_300.point(i).distance_to(q) for i in rows]
         assert distances == sorted(distances)
@@ -91,20 +92,21 @@ class TestQueries:
 class TestErrors:
     def test_empty_database_area_query(self, concave_polygon):
         with pytest.raises(EmptyDatabaseError):
-            SpatialDatabase().area_query(concave_polygon)
+            SpatialDatabase().query(AreaQuery(concave_polygon, method="voronoi")).record
 
     def test_empty_database_backend(self):
         with pytest.raises(EmptyDatabaseError):
             _ = SpatialDatabase().backend
 
     def test_nearest_neighbor_empty(self):
-        assert SpatialDatabase().nearest_neighbor(Point(0, 0)) is None
+        empty = SpatialDatabase()
+        assert next(iter(empty.query(NearestQuery(Point(0, 0)))), None) is None
 
     def test_zero_area_polygon_rejected(self, db_300):
         degenerate = Polygon([(0, 0), (1, 1), (0.5, 0.5), (0.2, 0.2)])
         assert degenerate.area == pytest.approx(0.0)
         with pytest.raises(InvalidQueryAreaError):
-            db_300.area_query(degenerate)
+            db_300.query(AreaQuery(degenerate, method="voronoi")).record
 
 
 class TestBackendLifecycle:
@@ -137,8 +139,8 @@ class TestBackendLifecycle:
         rng = __import__("random").Random(75)
         for _ in range(40):
             db.insert(Point(rng.random(), rng.random()))
-        voronoi = db.area_query(concave_polygon, method="voronoi")
-        traditional = db.area_query(concave_polygon, method="traditional")
+        voronoi = db.query(AreaQuery(concave_polygon, method="voronoi")).record
+        traditional = db.query(AreaQuery(concave_polygon, method="traditional")).record
         expected = sorted(
             i
             for i in range(len(db))
@@ -159,8 +161,8 @@ class TestBackendLifecycle:
         pure_db = SpatialDatabase.from_points(points, backend_kind="pure")
         scipy_db = SpatialDatabase.from_points(points, backend_kind="scipy")
         assert (
-            pure_db.area_query(concave_polygon).ids
-            == scipy_db.area_query(concave_polygon).ids
+            pure_db.query(AreaQuery(concave_polygon, method="voronoi")).record.ids
+            == scipy_db.query(AreaQuery(concave_polygon, method="voronoi")).record.ids
         )
 
 
@@ -174,7 +176,7 @@ class TestClassification:
 
     def test_internal_matches_query(self, db_300, concave_polygon):
         classes = db_300.classify_against(concave_polygon)
-        result = db_300.area_query(concave_polygon)
+        result = db_300.query(AreaQuery(concave_polygon, method="voronoi")).record
         assert classes["internal"] == result.ids
 
     def test_property7_internal_not_adjacent_to_external(

@@ -15,12 +15,13 @@ from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
 from repro.core.knn_query import voronoi_knn_query
 from repro.geometry.random_shapes import random_query_polygon
+from repro.query.spec import AreaQuery, KnnQuery
 from repro.workloads.generators import uniform_points
 
 
 def _check_area(db, area):
-    voronoi = db.area_query(area, method="voronoi")
-    traditional = db.area_query(area, method="traditional")
+    voronoi = db.query(AreaQuery(area, method="voronoi")).record
+    traditional = db.query(AreaQuery(area, method="traditional")).record
     expected = sorted(
         i for i in range(len(db)) if area.contains_point(db.point(i))
     )
@@ -47,11 +48,11 @@ class TestInterleavedWorkload:
         rng = random.Random(335)
         db = SpatialDatabase.from_points(uniform_points(200, seed=337)).prepare()
         area = random_query_polygon(0.1, rng=rng)
-        before = db.area_query(area, method="voronoi")
+        before = db.query(AreaQuery(area, method="voronoi")).record
         added = [
             db.insert(p) for p in area.sample_interior(10, rng)
         ]
-        after = db.area_query(area, method="voronoi")
+        after = db.query(AreaQuery(area, method="voronoi")).record
         assert set(after.ids) == set(before.ids) | set(added)
         _check_area(db, area)
 
@@ -88,7 +89,7 @@ class TestInterleavedWorkload:
                 Point(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)),
                 rng.uniform(0.05, 0.2),
             )
-            voronoi = db.area_query(disc, method="voronoi")
+            voronoi = db.query(AreaQuery(disc, method="voronoi")).record
             expected = sorted(
                 i
                 for i in range(len(db))
@@ -135,15 +136,17 @@ class TestLongRunningConsistency:
                 kind = rng.random()
                 if kind < 0.5:
                     area = random_query_polygon(0.05, rng=rng)
-                    voronoi = db.area_query(area, "voronoi")
+                    voronoi = db.query(AreaQuery(area, method="voronoi")).record
                     # Spot-check against the traditional method (cheaper
                     # than brute force at this frequency).
-                    assert voronoi.ids == db.area_query(area, "traditional").ids
+                    assert voronoi.ids == db.query(
+                        AreaQuery(area, method="traditional")
+                    ).record.ids
                 else:
                     q = Point(rng.random(), rng.random())
-                    assert db.k_nearest_neighbors(
-                        q, 5, method="voronoi"
-                    ) == db.k_nearest_neighbors(q, 5, method="index")
+                    assert db.query(
+                        KnnQuery(q, 5, method="voronoi")
+                    ).ids() == db.query(KnnQuery(q, 5, method="index")).ids()
                 operations += 1
             # Full verification once per round.
             area = random_query_polygon(0.1, rng=rng)

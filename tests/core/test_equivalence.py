@@ -16,6 +16,7 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.random_shapes import random_query_polygon
 from repro.core.database import SpatialDatabase
+from repro.query.spec import AreaQuery
 from repro.workloads.generators import (
     clustered_points,
     grid_points,
@@ -30,8 +31,8 @@ def _brute_force(db, area):
 
 
 def _assert_equivalent(db, area):
-    voronoi = db.area_query(area, method="voronoi")
-    traditional = db.area_query(area, method="traditional")
+    voronoi = db.query(AreaQuery(area, method="voronoi")).record
+    traditional = db.query(AreaQuery(area, method="traditional")).record
     expected = _brute_force(db, area)
     assert voronoi.ids == expected, "voronoi disagrees with brute force"
     assert traditional.ids == expected, "traditional disagrees with brute force"
@@ -91,8 +92,8 @@ class TestDistributions:
         db = SpatialDatabase.from_points([Point(0.5, 0.5)]).prepare()
         inside = Polygon([(0.4, 0.4), (0.6, 0.4), (0.6, 0.6), (0.4, 0.6)])
         outside = Polygon([(0.8, 0.8), (0.9, 0.8), (0.9, 0.9), (0.8, 0.9)])
-        assert db.area_query(inside).ids == [0]
-        assert db.area_query(outside).ids == []
+        assert db.query(AreaQuery(inside, method="voronoi")).record.ids == [0]
+        assert db.query(AreaQuery(outside, method="voronoi")).record.ids == []
 
 
 class TestBackendsAndIndexes:
@@ -104,7 +105,8 @@ class TestBackendsAndIndexes:
         scipy_db = SpatialDatabase.from_points(points, backend_kind="scipy")
         for area in areas:
             assert (
-                pure_db.area_query(area).ids == scipy_db.area_query(area).ids
+                pure_db.query(AreaQuery(area, method="voronoi")).record.ids
+                == scipy_db.query(AreaQuery(area, method="voronoi")).record.ids
             )
 
     @pytest.mark.parametrize(
@@ -131,13 +133,13 @@ class TestQueryAreaPlacement:
     def test_area_fully_outside_data(self):
         db = SpatialDatabase.from_points(uniform_points(100, seed=113)).prepare()
         outside = Polygon([(2, 2), (3, 2), (3, 3), (2, 3)])
-        assert db.area_query(outside, method="voronoi").ids == []
-        assert db.area_query(outside, method="traditional").ids == []
+        assert db.query(AreaQuery(outside, method="voronoi")).record.ids == []
+        assert db.query(AreaQuery(outside, method="traditional")).record.ids == []
 
     def test_area_containing_all_data(self):
         db = SpatialDatabase.from_points(uniform_points(150, seed=115)).prepare()
         everything = Polygon([(-1, -1), (2, -1), (2, 2), (-1, 2)])
-        assert db.area_query(everything).ids == list(range(150))
+        assert db.query(AreaQuery(everything, method="voronoi")).record.ids == list(range(150))
 
     def test_rectangle_query_area(self):
         # Shape where the traditional method has zero redundancy.
@@ -178,8 +180,8 @@ class TestHypothesisEquivalence:
             uniform_points(n, seed=data_seed)
         ).prepare()
         disc = Circle(Point(cx, cy), radius)
-        voronoi = db.area_query(disc, method="voronoi")
-        traditional = db.area_query(disc, method="traditional")
+        voronoi = db.query(AreaQuery(disc, method="voronoi")).record
+        traditional = db.query(AreaQuery(disc, method="traditional")).record
         expected = sorted(
             i for i in range(len(db)) if disc.contains_point(db.point(i))
         )

@@ -7,6 +7,7 @@ import pytest
 from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
 from repro.core.knn_query import incremental_nearest, voronoi_knn_query
+from repro.query.spec import KnnQuery
 from repro.workloads.generators import clustered_points, uniform_points
 
 
@@ -69,13 +70,13 @@ class TestCorrectness:
         rng = random.Random(179)
         for _ in range(10):
             q = Point(rng.random(), rng.random())
-            assert db_400.k_nearest_neighbors(
-                q, 9, method="voronoi"
-            ) == db_400.k_nearest_neighbors(q, 9, method="index")
+            assert db_400.query(
+                KnnQuery(q, 9, method="voronoi")
+            ).ids() == db_400.query(KnnQuery(q, 9, method="index")).ids()
 
     def test_unknown_method_rejected(self, db_400):
         with pytest.raises(ValueError):
-            db_400.k_nearest_neighbors(Point(0.5, 0.5), 3, method="magic")
+            db_400.query(KnnQuery(Point(0.5, 0.5), 3, method="magic")).ids()
 
 
 class TestStats:

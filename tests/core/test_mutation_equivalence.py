@@ -20,6 +20,7 @@ from repro.geometry.point import Point
 from repro.core.database import SpatialDatabase
 from repro.index import INDEX_REGISTRY
 from repro.query.spec import (
+    AreaQuery,
     DifferenceQuery,
     IntersectionQuery,
     KnnQuery,
@@ -82,8 +83,8 @@ def _check_all_kinds(db, model, rng):
         for row, (x, y) in model.items()
         if disc.contains_point(Point(x, y))
     )
-    assert db.area_query(disc, method="voronoi").ids == expected
-    assert db.area_query(disc, method="traditional").ids == expected
+    assert db.query(AreaQuery(disc, method="voronoi")).record.ids == expected
+    assert db.query(AreaQuery(disc, method="traditional")).record.ids == expected
 
     # Window query.
     x0, y0 = rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6)
@@ -106,8 +107,8 @@ def _check_all_kinds(db, model, rng):
             row,
         ),
     )
-    assert db.k_nearest_neighbors(q, k, method="voronoi") == ranked[:k]
-    assert db.k_nearest_neighbors(q, k, method="index") == ranked[:k]
+    assert db.query(KnnQuery(q, k, method="voronoi")).ids() == ranked[:k]
+    assert db.query(KnnQuery(q, k, method="index")).ids() == ranked[:k]
 
     # Streaming (unbounded) kNN: the lazy generator path with tombstones.
     first = db.query(KnnQuery((q.x, q.y), None)).first(k)
@@ -209,6 +210,6 @@ class TestEveryIndexKind:
         row = db.insert((x + 1e-6, y))
         model[row] = (x + 1e-6, y)
         q = Point(x, y)
-        assert db.k_nearest_neighbors(q, 1, method="voronoi") == [row]
+        assert db.query(KnnQuery(q, 1, method="voronoi")).ids() == [row]
         assert db.query(KnnQuery((x, y), None)).first(1) == [row]
         _check_all_kinds(db, model, random.Random(9))

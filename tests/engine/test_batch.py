@@ -2,15 +2,15 @@
 
 The anchor property is id-identity: for every region mix, every method
 (fixed or planned), and every sharing path (shared window frontier, seed
-walk, intra-batch dedup), ``batch_area_query`` returns exactly the ids the
+walk, intra-batch dedup), ``run_specs`` returns exactly the ids the
 one-query-at-a-time loop returns, in submission order.
 """
 
 import pytest
 
-from repro import SpatialDatabase
+from repro import AreaQuery, SpatialDatabase
 from repro.core.exceptions import EmptyDatabaseError, InvalidQueryAreaError
-from repro.engine.batch import BATCH_METHODS, BatchQueryEngine, greedy_seed_walk
+from repro.engine.batch import BatchQueryEngine, greedy_seed_walk
 from repro.engine.order import hilbert_index, locality_order
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -39,14 +39,14 @@ def mixed_regions():
     return regions
 
 
-@pytest.mark.parametrize("method", BATCH_METHODS)
+@pytest.mark.parametrize("method", AreaQuery.methods)
 def test_batch_ids_identical_to_loop(db, mixed_regions, method):
     loop = [
-        db.area_query(region, method="voronoi").ids
+        db.query(AreaQuery(region, method="voronoi")).record.ids
         for region in mixed_regions
     ]
-    batch = db.batch_area_query(
-        mixed_regions, method=method, use_cache=False
+    batch = db.engine.run_specs(
+        [AreaQuery(r, method=method) for r in mixed_regions], use_cache=False
     )
     assert len(batch) == len(mixed_regions)
     assert [result.ids for result in batch] == loop
@@ -54,9 +54,12 @@ def test_batch_ids_identical_to_loop(db, mixed_regions, method):
 
 def test_batch_handles_duplicates_once(db, mixed_regions):
     trace = mixed_regions + mixed_regions + mixed_regions[:3]
-    batch = db.batch_area_query(trace, method="voronoi", use_cache=False)
+    batch = db.engine.run_specs(
+        [AreaQuery(r, method="voronoi") for r in trace], use_cache=False
+    )
     assert [r.ids for r in batch] == [
-        db.area_query(region, method="voronoi").ids for region in trace
+        db.query(AreaQuery(region, method="voronoi")).record.ids
+        for region in trace
     ]
     assert batch.stats.duplicate_hits == len(mixed_regions) + 3
     assert batch.stats.executed == len(mixed_regions)
@@ -70,20 +73,22 @@ def test_batch_stats_record_sharing(db):
         )
         for i in range(5)
     ]
-    batch = db.batch_area_query(
-        overlapping, method="traditional", use_cache=False
+    batch = db.engine.run_specs(
+        [AreaQuery(r, method="traditional") for r in overlapping],
+        use_cache=False,
     )
     assert batch.stats.shared_window_groups >= 1
     assert batch.stats.shared_window_queries >= 2
     assert [r.ids for r in batch] == [
-        db.area_query(region, method="traditional").ids
+        db.query(AreaQuery(region, method="traditional")).record.ids
         for region in overlapping
     ]
 
 
 def test_batch_voronoi_reuses_seeds(db, mixed_regions):
-    batch = db.batch_area_query(
-        mixed_regions, method="voronoi", use_cache=False
+    batch = db.engine.run_specs(
+        [AreaQuery(r, method="voronoi") for r in mixed_regions],
+        use_cache=False,
     )
     # first seed needs the index; later ones should mostly walk
     assert batch.stats.seed_index_lookups >= 1
@@ -95,7 +100,9 @@ def test_batch_voronoi_reuses_seeds(db, mixed_regions):
 
 
 def test_batch_result_is_a_sequence(db, mixed_regions):
-    batch = db.batch_area_query(mixed_regions[:4], method="voronoi")
+    batch = db.engine.run_specs(
+        [AreaQuery(r, method="voronoi") for r in mixed_regions[:4]]
+    )
     assert len(batch) == 4
     assert batch[0].ids == list(batch)[0].ids
     assert [r.ids for r in batch[:2]] == [r.ids for r in batch.results[:2]]
@@ -103,26 +110,26 @@ def test_batch_result_is_a_sequence(db, mixed_regions):
 
 def test_batch_rejects_unknown_method(db, mixed_regions):
     with pytest.raises(ValueError, match="unknown method"):
-        db.batch_area_query(mixed_regions[:1], method="fastest")
+        db.engine.run_specs([AreaQuery(mixed_regions[0], method="fastest")])
 
 
 def test_batch_rejects_zero_area_region(db):
     degenerate = Circle(Point(0.5, 0.5), 1e-12)
     object.__setattr__(degenerate, "radius", 0.0)  # bypass ctor guard
     with pytest.raises(InvalidQueryAreaError):
-        db.batch_area_query([degenerate])
+        db.engine.run_specs([AreaQuery(degenerate)])
 
 
 def test_batch_on_empty_database_raises():
     empty = SpatialDatabase()
     with pytest.raises(EmptyDatabaseError):
-        empty.batch_area_query(
-            [Polygon.from_rect(Rect(0.1, 0.1, 0.2, 0.2))]
+        empty.engine.run_specs(
+            [AreaQuery(Polygon.from_rect(Rect(0.1, 0.1, 0.2, 0.2)))]
         )
 
 
 def test_empty_batch_returns_empty_result(db):
-    batch = db.batch_area_query([])
+    batch = db.engine.run_specs([])
     assert len(batch) == 0
     assert batch.stats.total_queries == 0
 
@@ -190,18 +197,23 @@ def test_sliding_tile_chains_do_not_snowball_into_one_group(db):
         Polygon.from_rect(Rect(0.05 + 0.1 * i, 0.4, 0.25 + 0.1 * i, 0.6))
         for i in range(7)  # each overlaps the next by half its width
     ]
-    batch = db.batch_area_query(chain, method="traditional", use_cache=False)
+    batch = db.engine.run_specs(
+        [AreaQuery(r, method="traditional") for r in chain], use_cache=False
+    )
     assert batch.stats.shared_window_groups == 0
     assert [r.ids for r in batch] == [
-        db.area_query(region, method="traditional").ids for region in chain
+        db.query(AreaQuery(region, method="traditional")).record.ids
+        for region in chain
     ]
 
 
 def test_window_slack_zero_disables_grouping(db, mixed_regions):
     engine = BatchQueryEngine(db, window_slack=0.0, cache_capacity=0)
-    batch = engine.batch_area_query(mixed_regions, method="traditional")
+    batch = engine.run_specs(
+        [AreaQuery(r, method="traditional") for r in mixed_regions]
+    )
     assert batch.stats.shared_window_groups == 0
     assert [r.ids for r in batch] == [
-        db.area_query(region, method="traditional").ids
+        db.query(AreaQuery(region, method="traditional")).record.ids
         for region in mixed_regions
     ]

@@ -174,9 +174,9 @@ def db():
 
 def test_repeated_batch_is_served_from_cache(db):
     regions = QueryWorkload(query_size=0.04, seed=31).areas(8)
-    first = db.batch_area_query(regions, method="auto")
+    first = db.engine.run_specs([AreaQuery(r, method="auto") for r in regions])
     assert first.stats.cache_hits == 0
-    second = db.batch_area_query(regions, method="auto")
+    second = db.engine.run_specs([AreaQuery(r, method="auto") for r in regions])
     assert second.stats.cache_hits == len(regions)
     assert second.stats.executed == 0
     assert [r.ids for r in second] == [r.ids for r in first]
@@ -184,50 +184,33 @@ def test_repeated_batch_is_served_from_cache(db):
 
 def test_insert_invalidates_cached_results(db):
     region = Polygon.from_rect(Rect(0.4, 0.4, 0.6, 0.6))
-    before = db.batch_area_query([region])[0]
+    before = db.engine.run_specs([AreaQuery(region)])[0]
     new_id = db.insert((0.5, 0.5))
-    after_batch = db.batch_area_query([region])
+    after_batch = db.engine.run_specs([AreaQuery(region)])
     after = after_batch[0]
     assert after_batch.stats.cache_hits == 0
     assert new_id in after.ids
     assert set(after.ids) == set(before.ids) | {new_id}
-    assert after.ids == db.area_query(region, method="traditional").ids
+    assert after.ids == db.query(AreaQuery(region, method="traditional")).record.ids
 
 
 def test_cache_hits_are_method_independent(db):
     """Both methods return identical ids (the paper's theorem), so a
     cached result may serve either method's request."""
     regions = QueryWorkload(query_size=0.04, seed=33).areas(4)
-    db.batch_area_query(regions, method="traditional")
-    batch = db.batch_area_query(regions, method="voronoi")
+    db.engine.run_specs([AreaQuery(r, method="traditional") for r in regions])
+    batch = db.engine.run_specs([AreaQuery(r, method="voronoi") for r in regions])
     assert batch.stats.cache_hits == len(regions)
     assert [r.ids for r in batch] == [
-        db.area_query(region, method="voronoi").ids for region in regions
+        db.query(AreaQuery(region, method="voronoi")).record.ids for region in regions
     ]
 
 
 def test_use_cache_false_bypasses_cache(db):
     regions = QueryWorkload(query_size=0.04, seed=35).areas(3)
-    db.batch_area_query(regions)
-    bypass = db.batch_area_query(regions, use_cache=False)
+    specs = [AreaQuery(r) for r in regions]
+    db.engine.run_specs(specs)
+    bypass = db.engine.run_specs(specs, use_cache=False)
     assert bypass.stats.cache_hits == 0
     assert bypass.stats.executed == len(regions)
 
-
-def test_region_fingerprint_shim_warns_and_matches_legacy():
-    """The 1.0 helper survives one release as a deprecation shim."""
-    from repro.engine import region_fingerprint
-
-    polygon = Polygon.from_rect(Rect(0.1, 0.1, 0.3, 0.4))
-    with pytest.warns(DeprecationWarning, match="cache_key"):
-        key = region_fingerprint(polygon)
-    assert key == ("polygon", tuple((p.x, p.y) for p in polygon.vertices))
-    with pytest.warns(DeprecationWarning):
-        assert region_fingerprint(Circle(Point(0.5, 0.5), 0.1)) == (
-            "circle",
-            0.5,
-            0.5,
-            0.1,
-        )
-    with pytest.warns(DeprecationWarning):
-        assert region_fingerprint(object()) is None

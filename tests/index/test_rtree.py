@@ -88,6 +88,26 @@ class TestBulkLoad:
         assert len(tree) == 51
         tree.check_invariants()
 
+    def test_bulk_load_on_nonempty_repacks_large_batches(self):
+        entries = _random_entries(400, seed=3)
+        small = RTree(max_entries=4)
+        for point, item_id in entries[:390]:
+            small.insert(point, item_id)
+        small.bulk_load(entries[390:])  # 10 * 32 < 390: inserted
+        assert not small._packed
+        large = RTree(max_entries=4)
+        large.bulk_load(entries[:200])
+        large.bulk_load(entries[200:])  # as large as the tree: re-packed
+        assert large._packed
+        oracle = BruteForceIndex()
+        oracle.bulk_load(entries)
+        window = Rect(0.1, 0.3, 0.6, 0.8)
+        expected = sorted(i for _, i in oracle.window_query(window))
+        for tree in (small, large):
+            assert len(tree) == 400
+            tree.check_invariants()
+            assert sorted(i for _, i in tree.window_query(window)) == expected
+
     def test_bulk_load_height_logarithmic(self):
         tree = RTree(max_entries=16)
         tree.bulk_load(_random_entries(4096, seed=2))

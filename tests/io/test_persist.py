@@ -12,6 +12,7 @@ from repro.io.persist import (
     save_points,
 )
 from repro.geometry.random_shapes import random_query_polygon
+from repro.query.spec import AreaQuery
 from repro.workloads.generators import uniform_points
 
 
@@ -67,12 +68,12 @@ class TestDatabaseRoundTrip:
         for _ in range(5):
             area = random_query_polygon(0.05, rng=rng)
             assert (
-                restored.area_query(area, "voronoi").ids
-                == db.area_query(area, "voronoi").ids
+                restored.query(AreaQuery(area, method="voronoi")).record.ids
+                == db.query(AreaQuery(area, method="voronoi")).record.ids
             )
             assert (
-                restored.area_query(area, "traditional").ids
-                == db.area_query(area, "traditional").ids
+                restored.query(AreaQuery(area, method="traditional")).record.ids
+                == db.query(AreaQuery(area, method="traditional")).record.ids
             )
 
     def test_prepare_flag(self, tmp_path):

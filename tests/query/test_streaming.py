@@ -153,11 +153,10 @@ class TestStreamingComposites:
 
 class TestNoShimNoise:
     def test_streaming_paths_emit_no_deprecation_warnings(self, db):
-        """The new paths never route through the legacy shims.
+        """The spec paths emit no deprecation warnings.
 
         Equivalent to a ``-W error::DeprecationWarning`` run over the
-        streaming and composite surfaces — the pytest ``filterwarnings``
-        entries only excuse tests that *intentionally* call the shims.
+        streaming and composite surfaces.
         """
         from repro.geometry.polygon import Polygon
 

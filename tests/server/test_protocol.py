@@ -22,6 +22,7 @@ from repro.server.protocol import (
     ERROR_CODES,
     MAX_CHUNK_SIZE,
     MAX_LINE_BYTES,
+    MAX_WRITE_POINTS,
     ProtocolError,
     decode_frame,
     encode_frame,
@@ -318,6 +319,18 @@ class TestMalformedRejection:
             encode_frame(frame)
         with pytest.raises(ProtocolError, match="limit"):
             decode_frame(b"x" * (MAX_LINE_BYTES + 1))
+
+    def test_largest_extend_fits_the_line_cap(self):
+        # 24-character float reprs are the longest JSON gives a double.
+        worst = -2.2250738585072014e-308
+        frame = {
+            "type": "extend",
+            "id": 2**62,
+            "points": [[worst, worst]] * MAX_WRITE_POINTS,
+        }
+        line = encode_frame(frame)
+        assert len(line) <= MAX_LINE_BYTES
+        assert decode_frame(line) == frame
 
     def test_non_finite_numbers_have_no_wire_form(self):
         with pytest.raises(ProtocolError):

@@ -5,6 +5,7 @@ Covers the two personalities of the tool: the *trajectory summary*
 (stable-set regressions and removals exit 2; everything else warns).
 """
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -34,14 +35,25 @@ class TestStableSet:
     def test_declared_set_matches_the_recorded_benchmarks(self):
         """Every stable name really is produced by the bench suite.
 
-        The names here are the ``record_benchmark`` keys of the
-        committed ``BENCH_pr.json``; a typo in STABLE_BENCHMARKS would
-        otherwise silently gate nothing.
+        The names here are the first arguments of the
+        ``record_benchmark(...)`` calls in the ``benchmarks/`` sources,
+        read statically so a clean checkout needs no ``BENCH_pr.json``;
+        a typo in STABLE_BENCHMARKS would otherwise silently gate
+        nothing.
         """
-        bench_json = Path(__file__).resolve().parents[2] / "BENCH_pr.json"
-        recorded = set(
-            json.loads(bench_json.read_text(encoding="utf-8"))["results"]
-        )
+        bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
+        recorded = set()
+        for source in bench_dir.glob("*.py"):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "record_benchmark"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    recorded.add(node.args[0].value)
         missing = STABLE_BENCHMARKS - recorded
         assert not missing, (
             f"stable benchmarks never recorded: {sorted(missing)}"
